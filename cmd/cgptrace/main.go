@@ -38,9 +38,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 
@@ -117,10 +117,7 @@ func record(args []string) error {
 		return err
 	}
 	defer f.Close()
-	tw, err := trace.NewWriter(f)
-	if err != nil {
-		return err
-	}
+	tw := trace.NewWriter(f)
 	var st trace.Stats
 	if err := w.Run(img, trace.Tee(&st, tw)); err != nil {
 		return err
@@ -132,17 +129,16 @@ func record(args []string) error {
 	return nil
 }
 
-func openTrace(path string) (*trace.Reader, *os.File, error) {
+// openTrace loads a trace file into a sealed recording: one decode
+// pass rebuilds its Stats and skip index, and every subcommand then
+// replays it through the batch decoder.
+func openTrace(path string) (*trace.Recording, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r, err := trace.NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return r, f, nil
+	defer f.Close()
+	return trace.Load(f)
 }
 
 func info(args []string) error {
@@ -151,15 +147,11 @@ func info(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("info needs a trace file")
 	}
-	r, f, err := openTrace(fs.Arg(0))
+	rec, err := openTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var st trace.Stats
-	if err := r.Replay(&st); err != nil {
-		return err
-	}
+	st := rec.Stats
 	fmt.Printf("events          %d\n", st.Events)
 	fmt.Printf("instructions    %d\n", st.Instructions)
 	fmt.Printf("calls/returns   %d / %d\n", st.Calls, st.Returns)
@@ -187,58 +179,67 @@ func dump(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("dump needs a trace file")
 	}
-	r, f, err := openTrace(fs.Arg(0))
+	rec, err := openTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	for i := 0; i < *skip+*n; i++ {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if i < *skip {
-			continue
-		}
-		switch ev.Kind {
-		case trace.KindRun:
-			fmt.Printf("%-6s %#x +%d\n", ev.Kind, ev.Addr, ev.N)
-		case trace.KindLoop:
-			fmt.Printf("%-6s %#x body=%d iters=%d\n", ev.Kind, ev.Addr, ev.N, ev.Iters)
-		case trace.KindBranch:
-			fmt.Printf("%-6s %#x taken=%v -> %#x\n", ev.Kind, ev.Addr, ev.Taken, ev.Target)
-		case trace.KindCall:
-			fmt.Printf("%-6s %#x -> fn%d@%#x (from fn%d)\n", ev.Kind, ev.Addr, ev.Fn, ev.Target, ev.Caller)
-		case trace.KindReturn:
-			fmt.Printf("%-6s fn%d -> %#x\n", ev.Kind, ev.Fn, ev.Target)
-		case trace.KindData:
-			rw := "r"
-			if ev.Taken {
-				rw = "w"
+	seen, end := 0, *skip+*n
+	err = rec.ReplayBatch(func(evs []trace.Event) error {
+		for i := range evs {
+			if seen == end {
+				return errDumped
 			}
-			fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
-		case trace.KindSwitch:
-			fmt.Printf("%-6s thread %d\n", ev.Kind, ev.N)
-		case trace.KindProbeEnter:
-			fmt.Printf("%-6s fn%d\n", ev.Kind, ev.Fn)
-		case trace.KindProbeExit:
-			fmt.Printf("%-6s\n", ev.Kind)
-		case trace.KindProbeWork:
-			fmt.Printf("%-6s +%d\n", ev.Kind, ev.N)
-		case trace.KindProbeData:
-			rw := "r"
-			if ev.Taken {
-				rw = "w"
+			if seen++; seen > *skip {
+				dumpEvent(&evs[i])
 			}
-			fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
-		case trace.KindQueryTag:
-			fmt.Printf("%-6s %016x\n", ev.Kind, uint64(ev.Addr))
 		}
+		return nil
+	})
+	if err == errDumped {
+		return nil
 	}
-	return nil
+	return err
+}
+
+// errDumped stops a dump's replay once enough events are printed.
+var errDumped = errors.New("dump complete")
+
+// dumpEvent prints one event in dump's line format.
+func dumpEvent(ev *trace.Event) {
+	switch ev.Kind {
+	case trace.KindRun:
+		fmt.Printf("%-6s %#x +%d\n", ev.Kind, ev.Addr, ev.N)
+	case trace.KindLoop:
+		fmt.Printf("%-6s %#x body=%d iters=%d\n", ev.Kind, ev.Addr, ev.N, ev.Iters)
+	case trace.KindBranch:
+		fmt.Printf("%-6s %#x taken=%v -> %#x\n", ev.Kind, ev.Addr, ev.Taken, ev.Target)
+	case trace.KindCall:
+		fmt.Printf("%-6s %#x -> fn%d@%#x (from fn%d)\n", ev.Kind, ev.Addr, ev.Fn, ev.Target, ev.Caller)
+	case trace.KindReturn:
+		fmt.Printf("%-6s fn%d -> %#x\n", ev.Kind, ev.Fn, ev.Target)
+	case trace.KindData:
+		rw := "r"
+		if ev.Taken {
+			rw = "w"
+		}
+		fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
+	case trace.KindSwitch:
+		fmt.Printf("%-6s thread %d\n", ev.Kind, ev.N)
+	case trace.KindProbeEnter:
+		fmt.Printf("%-6s fn%d\n", ev.Kind, ev.Fn)
+	case trace.KindProbeExit:
+		fmt.Printf("%-6s\n", ev.Kind)
+	case trace.KindProbeWork:
+		fmt.Printf("%-6s +%d\n", ev.Kind, ev.N)
+	case trace.KindProbeData:
+		rw := "r"
+		if ev.Taken {
+			rw = "w"
+		}
+		fmt.Printf("%-6s %#x %dB %s\n", ev.Kind, ev.Addr, ev.N, rw)
+	case trace.KindQueryTag:
+		fmt.Printf("%-6s %016x\n", ev.Kind, uint64(ev.Addr))
+	}
 }
 
 func replay(args []string) error {
@@ -280,10 +281,11 @@ func replay(args []string) error {
 	if *attrTop > 0 || *byQuery {
 		c.EnableAttribution()
 	}
-	probe, err := isProbeFile(fs.Arg(0))
+	rec, err := openTrace(fs.Arg(0))
 	if err != nil {
 		return err
 	}
+	probe := trace.IsProbeRecording(rec)
 	if *sampled {
 		if probe {
 			return fmt.Errorf("-sample needs an address-level trace; %s is a probe-level capture (replay it unsampled, or record the synthesized stream first)", fs.Arg(0))
@@ -296,21 +298,18 @@ func replay(args []string) error {
 			RandomOffset:         *sampleRand,
 			Seed:                 uint64(*sampleSeed),
 		}.WithDefaults()
-		return replaySampled(fs.Arg(0), c, pf, scfg)
+		return replaySampled(rec, c, pf, scfg)
 	}
 	if probe {
-		if err := replayProbeInto(fs.Arg(0), c, *seed); err != nil {
-			return err
-		}
+		// Probe captures carry the engine's own function IDs, so the
+		// engine's registry is the only one that resolves them.
+		reg, _ := db.BuildRegistry()
+		err = trace.ReplayProbe(rec, program.LayoutO5(reg), c, *seed)
 	} else {
-		r, f, err := openTrace(fs.Arg(0))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := r.Replay(c); err != nil {
-			return err
-		}
+		err = rec.Replay(c)
+	}
+	if err != nil {
+		return err
 	}
 	s := c.Finish()
 	fmt.Printf("prefetcher      %s\n", pf.Name())
@@ -398,69 +397,9 @@ func stageSummary(stages map[string]int64) string {
 	return out
 }
 
-// isProbeFile sniffs whether path holds a probe-level capture by
-// reading its first few events: a probe capture's payload events are
-// all KindProbe*, so any probe kind among the first events (skipping
-// session-tag switches) identifies one, and any address-level kind
-// rules it out.
-func isProbeFile(path string) (bool, error) {
-	r, f, err := openTrace(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	for i := 0; i < 4; i++ {
-		ev, err := r.Next()
-		if err == io.EOF {
-			return false, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		switch ev.Kind {
-		case trace.KindSwitch, trace.KindQueryTag:
-			continue
-		case trace.KindProbeEnter, trace.KindProbeExit, trace.KindProbeWork, trace.KindProbeData:
-			return true, nil
-		default:
-			return false, nil
-		}
-	}
-	return false, nil
-}
-
-// replayProbeInto loads a probe-level capture and synthesizes its
-// address-level stream into c over the database system's O5 image —
-// probe captures carry the engine's own function IDs, so the engine's
-// registry is the only one that resolves them.
-func replayProbeInto(path string, c *cpu.CPU, seed int64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	rec, err := trace.Load(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	reg, _ := db.BuildRegistry()
-	return trace.ReplayProbe(rec, program.LayoutO5(reg), c, seed)
-}
-
-// replaySampled loads the trace file into a sealed recording (the skip
-// tier jumps via the recording's event index, which a streaming reader
-// cannot provide) and drives the CPU through the three-tier sampled
-// replay.
-func replaySampled(path string, c *cpu.CPU, pf prefetch.Prefetcher, scfg sample.Config) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	rec, err := trace.Load(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
+// replaySampled drives the CPU through the three-tier sampled replay of
+// a loaded trace (the skip tier jumps via the recording's event index).
+func replaySampled(rec *trace.Recording, c *cpu.CPU, pf prefetch.Prefetcher, scfg sample.Config) error {
 	c.EnableSampling()
 	if err := rec.ReplaySampledInto(scfg.Plan(rec.Events()), c); err != nil {
 		return err

@@ -32,10 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tw, err := trace.NewWriter(f)
-	if err != nil {
-		log.Fatal(err)
-	}
+	tw := trace.NewWriter(f)
 	var st trace.Stats
 	if err := w.Run(img, trace.Tee(&st, tw)); err != nil {
 		log.Fatal(err)
@@ -51,26 +48,27 @@ func main() {
 		st.Events, st.Instructions, *path, info.Size(),
 		float64(info.Size())/float64(st.Instructions))
 
-	// Replay: sweep prefetchers over the recorded trace without
-	// re-executing a single query.
+	// Replay: load the file once into a sealed recording, then sweep
+	// prefetchers over it without re-executing a single query. The CPU
+	// model takes the decoded events a batch at a time.
+	rf, err := os.Open(*path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rec, err := trace.Load(rf)
+	rf.Close()
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, pf := range []prefetch.Prefetcher{
 		prefetch.None{},
 		prefetch.NewNL(4),
 		prefetch.NewRunAheadNL(4, 4),
 	} {
-		rf, err := os.Open(*path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		tr, err := trace.NewReader(rf)
-		if err != nil {
-			log.Fatal(err)
-		}
 		c := cpu.New(cpu.DefaultConfig(), pf)
-		if err := tr.Replay(c); err != nil {
+		if err := rec.Replay(c); err != nil {
 			log.Fatal(err)
 		}
-		rf.Close()
 		s := c.Finish()
 		fmt.Printf("replay %-8s cycles=%-9d I-misses=%d\n", pf.Name(), s.Cycles, s.ICacheMisses)
 	}

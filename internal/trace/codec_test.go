@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,73 +24,81 @@ func TestCodecRoundTrip(t *testing.T) {
 		{Kind: KindSwitch, N: 2},
 		{Kind: KindReturn, Fn: 0, Caller: program.NoFunc},
 	}
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
+	got := loadEvents(t, writeEvents(t, events))
+	if !reflect.DeepEqual(events, got) {
+		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", events, got)
 	}
+}
+
+// writeEvents encodes events through a Writer and returns the stream.
+func writeEvents(t testing.TB, events []Event) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
 	for _, ev := range events {
 		w.Event(ev)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
 
-	r, err := NewReader(&buf)
+// loadEvents loads a stream and returns its decoded events.
+func loadEvents(t testing.TB, stream []byte) []Event {
+	t.Helper()
+	rec, err := Load(bytes.NewReader(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []Event
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ev)
+	var got Capture
+	if err := rec.Replay(&got); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(events, got) {
-		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", events, got)
-	}
+	return got.Events
 }
 
 func TestCodecBadMagic(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("notatrace..."))); err != ErrBadMagic {
-		t.Errorf("err = %v, want ErrBadMagic", err)
+	for _, stream := range []string{"notatrace...", "CGPT", ""} {
+		if _, err := Load(strings.NewReader(stream)); !errors.Is(err, ErrBadMagic) {
+			t.Errorf("Load(%q) err = %v, want ErrBadMagic", stream, err)
+		}
 	}
 }
 
 func TestCodecTruncated(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Event(Event{Kind: KindRun, Addr: 0x400000, N: 12})
-	w.Flush()
-	raw := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(raw[:len(raw)-2]))
-	if err != nil {
-		t.Fatal(err)
+	raw := writeEvents(t, []Event{{Kind: KindRun, Addr: 0x400000, N: 12}})
+	for cut := 1; cut < len(raw)-len(traceMagic); cut++ {
+		_, err := Load(bytes.NewReader(raw[:len(raw)-cut]))
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("record truncated by %d bytes: err = %v, want io.ErrUnexpectedEOF", cut, err)
+		}
 	}
-	if _, err := r.Next(); err == nil {
-		t.Error("truncated record decoded without error")
+	// A header with no records is an empty trace, not an error.
+	rec, err := Load(bytes.NewReader(raw[:len(traceMagic)]))
+	if err != nil || rec.Events() != 0 {
+		t.Errorf("header-only stream: %d events, err %v", rec.Events(), err)
 	}
 }
 
 func TestReplay(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
+	var evs []Event
 	for i := 0; i < 10; i++ {
-		w.Event(Event{Kind: KindRun, Addr: isa.Addr(0x400000 + i*32), N: 8})
+		evs = append(evs, Event{Kind: KindRun, Addr: isa.Addr(0x400000 + i*32), N: 8})
 	}
-	w.Flush()
-	r, _ := NewReader(&buf)
+	rec, err := Load(bytes.NewReader(writeEvents(t, evs)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var st Stats
-	if err := r.Replay(&st); err != nil {
+	if err := rec.Replay(&st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Instructions != 80 {
 		t.Errorf("replayed %d instructions, want 80", st.Instructions)
+	}
+	if rec.Stats != st {
+		t.Errorf("loaded stats %+v differ from replayed %+v", rec.Stats, st)
 	}
 }
 
@@ -106,21 +116,8 @@ func TestCodecProperty(t *testing.T) {
 			Caller:      program.FuncID(caller),
 			Taken:       taken,
 		}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		w.Event(ev)
-		if w.Flush() != nil {
-			return false
-		}
-		r, err := NewReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := r.Next()
-		return err == nil && got == ev
+		got := loadEvents(t, writeEvents(t, []Event{ev}))
+		return len(got) == 1 && got[0] == ev
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -133,23 +130,12 @@ func TestCodecFullTrace(t *testing.T) {
 	img, ids := testImage()
 	var direct Capture
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	drive(NewTracer(img, Tee(&direct, w), 11), ids)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed Capture
-	if err := r.Replay(&replayed); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(direct.Events, replayed.Events) {
+	if !reflect.DeepEqual(direct.Events, loadEvents(t, buf.Bytes())) {
 		t.Fatal("replayed trace differs from live trace")
 	}
 }

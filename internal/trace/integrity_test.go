@@ -71,18 +71,15 @@ func TestCorruptByteOutOfRange(t *testing.T) {
 
 func TestCorruptionInLaterChunk(t *testing.T) {
 	// Tiny chunks force a multi-chunk recording; corrupt the last one.
-	buf := newChunkBuffer(64)
-	w, err := NewWriter(buf)
+	r := newRecorder(64)
+	for _, ev := range recordTestEvents(500) {
+		r.Event(ev)
+	}
+	rg, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range recordTestEvents(500) {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rg := &Recording{buf: buf, version: RecordingVersion, sums: sealChecksums(buf)}
+	buf := rg.buf
 	if err := rg.Verify(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,19 +100,16 @@ func TestCorruptionInLaterChunk(t *testing.T) {
 func TestPreFramingRecordingVerifiesVacuously(t *testing.T) {
 	// A hand-built recording with no sums (version-1 shape) must still
 	// replay: Verify has nothing to check against.
-	buf := newChunkBuffer(0)
-	w, err := NewWriter(buf)
+	r := NewRecorder()
+	evs := recordTestEvents(50)
+	for _, ev := range evs {
+		r.Event(ev)
+	}
+	sealed, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := recordTestEvents(50)
-	for _, ev := range evs {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rg := &Recording{buf: buf}
+	rg := &Recording{buf: sealed.buf}
 	var st Stats
 	if err := rg.Replay(&st); err != nil {
 		t.Fatal(err)

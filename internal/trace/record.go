@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"sync"
 
-	"cgp/internal/isa"
-	"cgp/internal/program"
+	"cgp/internal/units"
 )
 
 // Record/replay: capture a workload's event stream once, in memory, and
@@ -29,8 +26,9 @@ import (
 const recordChunkBytes = 1 << 20
 
 // chunkBuffer is an append-only byte buffer split into fixed-capacity
-// chunks. It implements io.Writer for the trace Writer; readers are
-// created per replay and stream the chunks independently.
+// chunks. The Recorder encodes into its last chunk directly and Load
+// fills it through io.Writer; decoders are created per replay and walk
+// the chunks independently.
 type chunkBuffer struct {
 	chunks    [][]byte
 	size      int64
@@ -64,68 +62,91 @@ func (b *chunkBuffer) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// chunkReader streams a chunkBuffer. Each reader carries its own
-// position, so concurrent replays of one recording are independent.
-type chunkReader struct {
-	b   *chunkBuffer
-	i   int // current chunk
-	off int // offset within chunk i
-}
-
-// Read implements io.Reader.
-func (r *chunkReader) Read(p []byte) (int, error) {
-	for r.i < len(r.b.chunks) && r.off == len(r.b.chunks[r.i]) {
-		r.i++
-		r.off = 0
-	}
-	if r.i >= len(r.b.chunks) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b.chunks[r.i][r.off:])
-	r.off += n
-	return n, nil
+// pos converts a global stream offset into the (chunk, offset)
+// position chunkDecoder.advance reaches after consuming off bytes:
+// every chunk but the last is full, so a record ending exactly on a
+// chunk boundary positions at the start of the next chunk.
+func (b *chunkBuffer) pos(off int64) (ci, o int) {
+	return int(off / int64(b.chunkSize)), int(off % int64(b.chunkSize))
 }
 
 // Recorder is a Consumer that captures an event stream into a compact
-// chunked buffer using the binary trace codec. It simultaneously
-// accumulates the stream's aggregate Stats so replays can copy them
-// instead of recounting.
+// chunked buffer using the binary trace codec, in one pass: each event
+// is encoded straight into the current chunk, and the stream's
+// aggregate Stats and the skip index sampled replay jumps through are
+// accumulated alongside, so a sealed recording never needs a decode
+// pass to describe itself.
 type Recorder struct {
-	buf   *chunkBuffer
-	w     *Writer
+	buf *chunkBuffer
+	// cur is the buffer's last chunk as it grows; buf's copy of the
+	// slice header (and buf.size) catch up in sync.
+	cur   []byte
 	stats Stats
+	idx   []skipPoint
 }
 
 // NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder {
-	buf := newChunkBuffer(recordChunkBytes)
-	w, err := NewWriter(buf)
-	if err != nil {
-		// chunkBuffer writes cannot fail; a header error is a bug.
-		panic(err)
-	}
-	return &Recorder{buf: buf, w: w}
+func NewRecorder() *Recorder { return newRecorder(recordChunkBytes) }
+
+func newRecorder(chunkSize int) *Recorder {
+	r := &Recorder{buf: newChunkBuffer(chunkSize)}
+	r.buf.Write(traceMagic[:])
+	r.cur = r.buf.chunks[0]
+	return r
 }
 
 // Event implements Consumer.
-func (r *Recorder) Event(ev Event) {
-	r.stats.Event(ev)
-	r.w.Event(ev)
+func (r *Recorder) Event(ev Event) { r.record(&ev) }
+
+// EventBatch implements BatchConsumer.
+func (r *Recorder) EventBatch(evs []Event) {
+	for i := range evs {
+		r.record(&evs[i])
+	}
 }
 
-// Finish flushes buffered output and seals the recording: the chunk
-// list is frozen and per-chunk CRC-32C checksums are computed, so every
-// later replay can verify integrity before decoding. The Recorder must
-// not be used afterwards.
-func (r *Recorder) Finish() (*Recording, error) {
-	if err := r.w.Flush(); err != nil {
-		return nil, fmt.Errorf("trace: record: %w", err)
+// record encodes one event. It lands in the current chunk when at
+// least maxEventRecord bytes are free there; otherwise it is encoded
+// on the stack and spread across the chunk boundary, so the bytes and
+// chunk boundaries are exactly those of writing the encoded stream
+// through chunkBuffer.Write.
+func (r *Recorder) record(ev *Event) {
+	r.stats.add(ev)
+	if r.buf.chunkSize-len(r.cur) >= maxEventRecord {
+		r.cur = appendEvent(r.cur, ev)
+	} else {
+		var tmp [maxEventRecord]byte
+		r.sync()
+		r.buf.Write(appendEvent(tmp[:0], ev))
+		r.cur = r.buf.chunks[len(r.buf.chunks)-1]
 	}
+	if r.stats.Events%skipIndexEvery == 0 {
+		r.sync()
+		ci, off := r.buf.pos(r.buf.size)
+		r.idx = append(r.idx, skipPoint{ci: ci, off: off, events: r.stats.Events, instrs: int64(r.stats.Instructions)})
+	}
+}
+
+// sync stores cur back into the buffer.
+func (r *Recorder) sync() {
+	b := r.buf
+	last := len(b.chunks) - 1
+	b.size += int64(len(r.cur) - len(b.chunks[last]))
+	b.chunks[last] = r.cur
+}
+
+// Finish seals the recording: the chunk list is frozen and per-chunk
+// CRC-32C checksums are computed, so every later replay can verify
+// integrity before decoding. The Recorder must not be used afterwards.
+// Recording into memory cannot fail; the error is always nil.
+func (r *Recorder) Finish() (*Recording, error) {
+	r.sync()
 	return &Recording{
 		buf:     r.buf,
 		Stats:   r.stats,
 		version: RecordingVersion,
 		sums:    sealChecksums(r.buf),
+		idx:     r.idx,
 	}, nil
 }
 
@@ -140,11 +161,10 @@ type Recording struct {
 	// Stats are the aggregate statistics of the recorded stream,
 	// identical to what a Stats consumer fed by Replay would count.
 	Stats Stats
-	// idxOnce/idx lazily build the skip index used by ReplaySampled
-	// (see sample.go). The index lives only in memory — the encoded
-	// stream stays byte-compatible with the on-disk format.
-	idxOnce sync.Once
-	idx     []skipPoint
+	// idx is the skip index used by ReplaySampled (see sample.go),
+	// built by the Recorder or by Load. It lives only in memory — the
+	// encoded stream stays byte-compatible with the on-disk format.
+	idx []skipPoint
 }
 
 // Events returns the number of recorded events.
@@ -152,10 +172,6 @@ func (r *Recording) Events() int64 { return r.Stats.Events }
 
 // Bytes returns the in-memory footprint of the encoded trace.
 func (r *Recording) Bytes() int64 { return r.buf.size }
-
-// maxEventRecord bounds one encoded event: the flags byte plus seven
-// varints.
-const maxEventRecord = 1 + 7*binary.MaxVarintLen64
 
 // replayBatch is how many decoded events one dispatch hands over. The
 // buffer (≈ 24 KiB) stays comfortably cache-resident while amortizing
@@ -222,14 +238,11 @@ func (r *Recording) Replay(c Consumer) error {
 
 // ReplayBatch is the kernel of every replay: it decodes the stream into
 // a reusable buffer, replayBatch events at a time, and hands each
-// full batch (and the final partial one) to fn. The varints are decoded
-// directly from the chunk slices — the generic Reader pays an
-// interface-dispatched ReadByte per varint byte, which costs as much as
-// the simulation consuming the events — and the buffer is allocated
-// once per call, so steady-state replay does not allocate per batch.
-// fn must not retain the slice. A non-nil error from fn aborts the
-// replay immediately and is returned as-is (the runner uses this for
-// prompt cancellation at batch granularity).
+// full batch (and the final partial one) to fn. The buffer is
+// allocated once per call, so steady-state replay does not allocate
+// per batch. fn must not retain the slice. A non-nil error from fn
+// aborts the replay immediately and is returned as-is (the runner uses
+// this for prompt cancellation at batch granularity).
 //
 // Before decoding, the chunk checksums sealed at record time are
 // re-verified; a corrupted recording fails with *CorruptionError
@@ -240,59 +253,34 @@ func (r *Recording) ReplayBatch(fn func(evs []Event) error) error {
 	if err := r.Verify(); err != nil {
 		return err
 	}
-	d := chunkDecoder{b: r.buf}
-	hdr := d.window(len(traceMagic))
-	if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
-		return ErrBadMagic
+	d, err := r.decoder()
+	if err != nil {
+		return err
 	}
-	d.advance(len(traceMagic))
 	buf := make([]Event, replayBatch) //cgplint:ignore allocfree one reusable batch buffer per replay call, amortized across the whole stream
-	n := 0
 	for {
-		// Fast path: decode records lying wholly inside the current
-		// chunk without per-event window/advance bookkeeping.
-		if d.ci < len(d.b.chunks) {
-			chunk := d.b.chunks[d.ci]
-			pos := d.off
-			for pos+maxEventRecord <= len(chunk) && n < len(buf) {
-				m, err := decodeEventInto(chunk[pos:], &buf[n])
-				if err != nil {
-					return err
-				}
-				pos += m
-				n++
-			}
-			d.off = pos
-			if n == len(buf) {
-				if err := fn(buf); err != nil {
-					return err
-				}
-				n = 0
-				continue
-			}
-		}
-		// Slow path: a record straddling a chunk boundary, or the tail
-		// of the final chunk.
-		w := d.window(maxEventRecord)
-		if len(w) == 0 {
-			if n > 0 {
-				return fn(buf[:n])
-			}
-			return nil
-		}
-		m, err := decodeEventInto(w, &buf[n])
+		n, err := d.next(buf)
 		if err != nil {
 			return err
 		}
-		d.advance(m)
-		n++
-		if n == len(buf) {
-			if err := fn(buf); err != nil {
-				return err
-			}
-			n = 0
+		if n == 0 {
+			return nil
+		}
+		if err := fn(buf[:n]); err != nil {
+			return err
 		}
 	}
+}
+
+// decoder returns a decoder positioned just past the stream header.
+func (r *Recording) decoder() (chunkDecoder, error) {
+	d := chunkDecoder{b: r.buf}
+	hdr := d.window(len(traceMagic))
+	if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
+		return d, ErrBadMagic
+	}
+	d.advance(len(traceMagic))
+	return d, nil
 }
 
 // chunkDecoder walks a chunkBuffer as one logical byte stream,
@@ -304,6 +292,49 @@ type chunkDecoder struct {
 	ci      int // current chunk
 	off     int // offset within chunk ci
 	scratch [maxEventRecord]byte
+}
+
+// next decodes up to len(buf) events into buf and returns how many it
+// decoded: len(buf) unless the stream ends first, and 0 once it has
+// ended. Records lying wholly inside the current chunk — all but the
+// last few of each chunk — decode straight from the chunk slice
+// without per-event window/advance bookkeeping; the decoded varints
+// never pass through an io.Reader.
+//
+//cgplint:hotpath
+func (d *chunkDecoder) next(buf []Event) (int, error) {
+	n := 0
+	for n < len(buf) {
+		if d.ci < len(d.b.chunks) {
+			chunk := d.b.chunks[d.ci]
+			pos := d.off
+			for pos+maxEventRecord <= len(chunk) && n < len(buf) {
+				m, err := decodeEventInto(chunk[pos:], &buf[n])
+				if err != nil {
+					return n, err
+				}
+				pos += m
+				n++
+			}
+			d.off = pos
+			if n == len(buf) {
+				break
+			}
+		}
+		// Slow path: a record straddling a chunk boundary, or the tail
+		// of the final chunk.
+		w := d.window(maxEventRecord)
+		if len(w) == 0 {
+			break
+		}
+		m, err := decodeEventInto(w, &buf[n])
+		if err != nil {
+			return n, err
+		}
+		d.advance(m)
+		n++
+	}
+	return n, nil
 }
 
 // window returns at least min(n, bytes remaining) contiguous bytes at
@@ -342,125 +373,52 @@ func (d *chunkDecoder) advance(n int) {
 	}
 }
 
-// decodeEventInto decodes one event from the front of b into *ev,
-// returning the encoded length. It is the slice-based twin of
-// Reader.Next. On success every field of *ev is overwritten, so the
-// caller can reuse a dirty buffer slot without zeroing it; on error the
-// slot's contents are unspecified.
-//
-// This is the hottest loop body of the whole simulator (every replayed
-// event passes through it), so the seven varint reads are open-coded
-// straight-line: most fields are zero or tiny, and the one-byte case
-// runs without a function call or loop — a helper carrying the
-// binary.Uvarint fallback costs more than the inlining budget allows,
-// and a fields loop pays a dispatch switch per field. The multi-byte
-// fallback is the standard library decoder.
-//
-//cgplint:hotpath
-func decodeEventInto(b []byte, ev *Event) (int, error) {
-	flags := b[0]
-	ev.Kind = Kind(flags >> 1)
-	ev.Taken = flags&1 != 0
-	pos := 1
-	var u uint64
-	var n int
-	if pos < len(b) && b[pos] < 0x80 {
-		u = uint64(b[pos])
-		pos++
-	} else if u, n = binary.Uvarint(b[pos:]); n <= 0 {
-		return 0, decodeErr("addr")
-	} else {
-		pos += n
-	}
-	ev.Addr = isa.Addr(u)
-	if pos < len(b) && b[pos] < 0x80 {
-		u = uint64(b[pos])
-		pos++
-	} else if u, n = binary.Uvarint(b[pos:]); n <= 0 {
-		return 0, decodeErr("target")
-	} else {
-		pos += n
-	}
-	ev.Target = isa.Addr(u)
-	if pos < len(b) && b[pos] < 0x80 {
-		u = uint64(b[pos])
-		pos++
-	} else if u, n = binary.Uvarint(b[pos:]); n <= 0 {
-		return 0, decodeErr("callerStart")
-	} else {
-		pos += n
-	}
-	ev.CallerStart = isa.Addr(u)
-	var v int64
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("n")
-	} else {
-		pos += n
-	}
-	ev.N = int32(v)
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("iters")
-	} else {
-		pos += n
-	}
-	ev.Iters = int32(v)
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("fn")
-	} else {
-		pos += n
-	}
-	ev.Fn = program.FuncID(v)
-	if pos < len(b) && b[pos] < 0x80 {
-		x := b[pos]
-		v = int64(x>>1) ^ -int64(x&1)
-		pos++
-	} else if v, n = binary.Varint(b[pos:]); n <= 0 {
-		return 0, decodeErr("caller")
-	} else {
-		pos += n
-	}
-	ev.Caller = program.FuncID(v)
-	return pos, nil
-}
-
-// decodeErr builds the error for a truncated field.
-//
-//cgplint:coldpath error construction runs only on corrupt or truncated input, never in steady-state replay
-func decodeErr(field string) error {
-	return fmt.Errorf("trace: decode %s: %w", field, io.ErrUnexpectedEOF)
+// point returns the decoder's position as a skip-index checkpoint,
+// normalized the way the Recorder computes it.
+func (d *chunkDecoder) point(events int64, instrs units.Instrs) skipPoint {
+	ci, off := d.b.pos(int64(d.ci)*int64(d.b.chunkSize) + int64(d.off))
+	return skipPoint{ci: ci, off: off, events: events, instrs: int64(instrs)}
 }
 
 // Load reads an entire encoded trace stream (the cgptrace on-disk
 // format, header included) into a sealed Recording, so file-backed
 // traces get the same replay machinery as in-memory ones — including
-// sampled replay, which needs random access the streaming Reader
-// cannot provide. The stream is decoded once to rebuild the aggregate
-// Stats a Recorder would have counted.
-func Load(src io.Reader) (*Recording, error) {
-	buf := newChunkBuffer(recordChunkBytes)
+// sampled replay, which needs random access. One decode pass rebuilds
+// the aggregate Stats and the skip index a Recorder would have built.
+func Load(src io.Reader) (*Recording, error) { return load(src, recordChunkBytes) }
+
+func load(src io.Reader, chunkSize int) (*Recording, error) {
+	buf := newChunkBuffer(chunkSize)
 	if _, err := io.Copy(buf, src); err != nil {
 		return nil, fmt.Errorf("trace: load: %w", err)
 	}
 	rec := &Recording{buf: buf, version: RecordingVersion, sums: sealChecksums(buf)}
-	var st Stats
-	if err := rec.Replay(&st); err != nil {
+	d, err := rec.decoder()
+	if err != nil {
 		return nil, err
 	}
-	rec.Stats = st
-	return rec, nil
+	evs := make([]Event, replayBatch)
+	for {
+		n, err := d.next(evs)
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			return rec, nil
+		}
+		for i := range evs[:n] {
+			rec.Stats.Event(evs[i])
+		}
+		// Every batch but the last is full and replayBatch divides
+		// skipIndexEvery, so checkpoint events always end a batch.
+		if rec.Stats.Events%skipIndexEvery == 0 {
+			rec.idx = append(rec.idx, d.point(rec.Stats.Events, rec.Stats.Instructions))
+		}
+	}
 }
+
+// replayBatch must divide skipIndexEvery (see Load).
+var _ [0]struct{} = [skipIndexEvery % replayBatch]struct{}{}
 
 // WriteTo copies the raw encoded trace (header included) to w, so a
 // recording can be saved in the cgptrace on-disk format.

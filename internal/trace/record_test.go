@@ -71,20 +71,14 @@ func TestRecordingRoundTrip(t *testing.T) {
 // boundaries, and checks the stream still decodes exactly.
 func TestRecordingChunkBoundaries(t *testing.T) {
 	evs := recordTestEvents(500)
-	buf := newChunkBuffer(13) // adversarial: smaller than one encoded event
-	w, err := NewWriter(buf)
+	r := newRecorder(13) // adversarial: smaller than one encoded event
+	for _, ev := range evs {
+		r.Event(ev)
+	}
+	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
-	for _, ev := range evs {
-		stats.Event(ev)
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rec := &Recording{buf: buf, Stats: stats}
 	var got Capture
 	if err := rec.Replay(&got); err != nil {
 		t.Fatal(err)
@@ -183,18 +177,14 @@ func TestReplayBatchDelivery(t *testing.T) {
 // inside one chunk.
 func TestReplayBatchChunkBoundaries(t *testing.T) {
 	evs := recordTestEvents(2*replayBatch + 3)
-	buf := newChunkBuffer(13)
-	w, err := NewWriter(buf)
+	r := newRecorder(13)
+	for _, ev := range evs {
+		r.Event(ev)
+	}
+	rec, err := r.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range evs {
-		w.Event(ev)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	rec := &Recording{buf: buf}
 	var got []Event
 	if err := rec.ReplayBatch(func(b []Event) error { got = append(got, b...); return nil }); err != nil {
 		t.Fatal(err)
@@ -289,15 +279,7 @@ func TestRecordingWriteTo(t *testing.T) {
 	if err != nil || n != rec.Bytes() {
 		t.Fatalf("WriteTo = %d, %v; want %d bytes", n, err, rec.Bytes())
 	}
-	tr, err := NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Capture
-	if err := tr.Replay(&got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, evs) {
+	if !reflect.DeepEqual(loadEvents(t, buf.Bytes()), evs) {
 		t.Fatal("WriteTo bytes decode differently")
 	}
 }

@@ -9,8 +9,9 @@ import (
 // Sampled replay: walk a recording according to a span plan, decoding
 // only the stretches a sampled simulation actually needs. Three tiers:
 //
-//   - SpanSkip stretches are not decoded at all. A lazily-built index
-//     over the sealed recording (one position checkpoint every
+//   - SpanSkip stretches are not decoded at all. An index over the
+//     sealed recording, built while recording (or by Load), with one
+//     position checkpoint every
 //     skipIndexEvery events, with cumulative event/instruction counts)
 //     lets the replayer jump near the end of a skip and decode only the
 //     sub-checkpoint remainder. This tier is what makes ≥10x speedups
@@ -83,50 +84,14 @@ type SampledConsumer interface {
 const skipIndexEvery = 4096
 
 // skipPoint is one skip-index checkpoint: the decoder position
-// immediately after cumulative event number `events`, along with the
-// cumulative instruction count up to that point.
+// immediately after cumulative event number `events` (a positive
+// multiple of skipIndexEvery), along with the cumulative instruction
+// count up to that point.
 type skipPoint struct {
 	ci     int
 	off    int
 	events int64
 	instrs int64
-}
-
-// skipIndex returns the recording's skip index, building it on first
-// use (one decode pass over the stream, amortized across the many
-// sampled replays of a memoized recording). Safe for concurrent use.
-// A recording that fails to decode gets a nil index; ReplaySampled
-// then surfaces the decode error on its own pass.
-func (r *Recording) skipIndex() []skipPoint {
-	r.idxOnce.Do(func() {
-		d := chunkDecoder{b: r.buf}
-		hdr := d.window(len(traceMagic))
-		if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
-			return
-		}
-		d.advance(len(traceMagic))
-		pts := []skipPoint{{ci: d.ci, off: d.off}}
-		var ev Event
-		var events, instrs int64
-		for {
-			w := d.window(maxEventRecord)
-			if len(w) == 0 {
-				break
-			}
-			m, err := decodeEventInto(w, &ev)
-			if err != nil {
-				return
-			}
-			d.advance(m)
-			events++
-			instrs += int64(ev.Instructions())
-			if events%skipIndexEvery == 0 {
-				pts = append(pts, skipPoint{ci: d.ci, off: d.off, events: events, instrs: instrs})
-			}
-		}
-		r.idx = pts
-	})
-	return r.idx
 }
 
 // ReplaySampled walks the recording according to spans, calling begin
@@ -144,13 +109,11 @@ func (r *Recording) ReplaySampled(spans []Span,
 	if err := r.Verify(); err != nil {
 		return err
 	}
-	idx := r.skipIndex()
-	d := chunkDecoder{b: r.buf}
-	hdr := d.window(len(traceMagic))
-	if len(hdr) < len(traceMagic) || [8]byte(hdr[:8]) != traceMagic {
-		return ErrBadMagic
+	idx := r.idx
+	d, err := r.decoder()
+	if err != nil {
+		return err
 	}
-	d.advance(len(traceMagic))
 	buf := make([]Event, replayBatch)
 	var consumed, instrs int64
 	for _, sp := range spans {
@@ -162,29 +125,26 @@ func (r *Recording) ReplaySampled(spans []Span,
 			startEvents, startInstrs := consumed, instrs
 			// Jump to the last checkpoint at or before the target,
 			// provided it is ahead of the current position.
-			if len(idx) > 0 {
-				i := sort.Search(len(idx), func(i int) bool { return idx[i].events > target }) - 1
-				if i >= 0 && idx[i].events > consumed {
-					p := idx[i]
-					d.ci, d.off = p.ci, p.off
-					consumed, instrs = p.events, p.instrs
-				}
+			i := sort.Search(len(idx), func(i int) bool { return idx[i].events > target }) - 1
+			if i >= 0 && idx[i].events > consumed {
+				p := idx[i]
+				d.ci, d.off = p.ci, p.off
+				consumed, instrs = p.events, p.instrs
 			}
 			// Decode the sub-checkpoint remainder, counting only
 			// instructions.
-			var ev Event
 			for consumed < target {
-				w := d.window(maxEventRecord)
-				if len(w) == 0 {
-					break // stream shorter than the plan: report what was skipped
-				}
-				m, err := decodeEventInto(w, &ev)
+				n, err := d.next(buf[:min(int64(len(buf)), target-consumed)])
 				if err != nil {
 					return err
 				}
-				d.advance(m)
-				consumed++
-				instrs += int64(ev.Instructions())
+				if n == 0 {
+					break // stream shorter than the plan: report what was skipped
+				}
+				for i := range buf[:n] {
+					instrs += int64(buf[i].Instructions())
+				}
+				consumed += int64(n)
 			}
 			if err := skip(consumed-startEvents, units.Instrs(instrs-startInstrs)); err != nil {
 				return err
@@ -197,47 +157,15 @@ func (r *Recording) ReplaySampled(spans []Span,
 		if err := begin(sp.Kind); err != nil {
 			return err
 		}
-		remaining := sp.Events
-		for remaining > 0 {
-			want := replayBatch
-			if remaining < int64(want) {
-				want = int(remaining)
-			}
-			n := 0
-			// Fast path: records lying wholly inside the current chunk.
-			if d.ci < len(d.b.chunks) {
-				chunk := d.b.chunks[d.ci]
-				pos := d.off
-				for pos+maxEventRecord <= len(chunk) && n < want {
-					m, err := decodeEventInto(chunk[pos:], &buf[n])
-					if err != nil {
-						return err
-					}
-					pos += m
-					n++
-				}
-				d.off = pos
-			}
-			// Slow path: one straddling or tail record at a time.
-			for n < want {
-				w := d.window(maxEventRecord)
-				if len(w) == 0 {
-					break
-				}
-				m, err := decodeEventInto(w, &buf[n])
-				if err != nil {
-					return err
-				}
-				d.advance(m)
-				n++
-				if d.ci < len(d.b.chunks) && d.off+maxEventRecord <= len(d.b.chunks[d.ci]) {
-					break // back on a whole-chunk fast path
-				}
+		for remaining := sp.Events; remaining > 0; {
+			n, err := d.next(buf[:min(int64(len(buf)), remaining)])
+			if err != nil {
+				return err
 			}
 			if n == 0 {
 				return nil // stream shorter than the plan
 			}
-			for i := 0; i < n; i++ {
+			for i := range buf[:n] {
 				instrs += int64(buf[i].Instructions())
 			}
 			if err := fn(buf[:n]); err != nil {

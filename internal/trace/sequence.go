@@ -37,10 +37,12 @@ func (p *SequenceProfile) Record(fn program.FuncID, slot int, callee program.Fun
 		return
 	}
 	slots := p.counts[fn]
-	for len(slots) <= slot {
-		slots = append(slots, make(map[program.FuncID]int64))
+	if len(slots) <= slot {
+		for len(slots) <= slot {
+			slots = append(slots, make(map[program.FuncID]int64))
+		}
+		p.counts[fn] = slots
 	}
-	p.counts[fn] = slots
 	slots[slot][callee]++
 }
 
@@ -91,8 +93,11 @@ type SequenceCollector struct {
 	Profile *SequenceProfile
 
 	// Per-thread shadow stacks: thread id -> stack of (fn, nextSlot).
+	// The current thread's stack lives in stack and is written back
+	// on a switch, so calls and returns touch no map.
 	stacks map[int32][]seqFrame
 	cur    int32
+	stack  []seqFrame
 }
 
 type seqFrame struct {
@@ -105,7 +110,7 @@ type seqFrame struct {
 func NewSequenceCollector(maxSlots int) *SequenceCollector {
 	return &SequenceCollector{
 		Profile: NewSequenceProfile(maxSlots),
-		stacks:  map[int32][]seqFrame{0: nil},
+		stacks:  map[int32][]seqFrame{},
 	}
 }
 
@@ -113,22 +118,19 @@ func NewSequenceCollector(maxSlots int) *SequenceCollector {
 func (c *SequenceCollector) Event(ev Event) {
 	switch ev.Kind {
 	case KindSwitch:
+		c.stacks[c.cur] = c.stack
 		c.cur = ev.N
-		if _, ok := c.stacks[c.cur]; !ok {
-			c.stacks[c.cur] = nil
-		}
+		c.stack = c.stacks[c.cur]
 	case KindCall:
-		stack := c.stacks[c.cur]
-		if n := len(stack); n > 0 {
-			top := &stack[n-1]
+		if n := len(c.stack); n > 0 {
+			top := &c.stack[n-1]
 			c.Profile.Record(top.fn, top.slot, ev.Fn)
 			top.slot++
 		}
-		c.stacks[c.cur] = append(stack, seqFrame{fn: ev.Fn})
+		c.stack = append(c.stack, seqFrame{fn: ev.Fn})
 	case KindReturn:
-		stack := c.stacks[c.cur]
-		if n := len(stack); n > 0 {
-			c.stacks[c.cur] = stack[:n-1]
+		if n := len(c.stack); n > 0 {
+			c.stack = c.stack[:n-1]
 		}
 	}
 }

@@ -31,7 +31,10 @@ type Stats struct {
 }
 
 // Event implements Consumer.
-func (s *Stats) Event(ev Event) {
+func (s *Stats) Event(ev Event) { s.add(&ev) }
+
+// add counts one event.
+func (s *Stats) add(ev *Event) {
 	s.Events++
 	switch ev.Kind {
 	case KindRun:

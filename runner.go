@@ -256,13 +256,7 @@ const dbProfilesKey = "prof|db"
 func runKey(w *Workload, cfg Config) string { return "run|" + w.Name + "|" + cfg.fingerprint() }
 func recKey(w *Workload, l Layout) string   { return fmt.Sprintf("rec|%s|%d", w.Name, l) }
 func imgKey(w *Workload, l Layout) string   { return fmt.Sprintf("img|%s|%d", w.Name, l) }
-
-func profKey(w *Workload) string {
-	if w.Family == "db" {
-		return dbProfilesKey
-	}
-	return "prof|" + w.Name
-}
+func srcProfKey(w *Workload) string         { return "prof|src|" + w.Name }
 
 // NewRunner builds a harness.
 func NewRunner(opts RunnerOptions) *Runner {
@@ -458,28 +452,45 @@ func (r *Runner) CapturedWorkload() (*Workload, error) {
 	return f.val.(*Workload), nil
 }
 
-// profilesFor returns (collecting on first use) the feedback artifacts
-// a profile run produces. Database workloads share one profile, merged
-// from wisc-prof and wisc+tpch runs exactly as §5.1 describes; each
-// CPU2000 program profiles itself (the paper uses the SPEC "test"
-// input).
-func (r *Runner) profilesFor(ctx context.Context, w *Workload) (*profiles, error) {
-	v, err := r.once(ctx, profKey(w), func(ctx context.Context) (any, error) {
-		if w.Family == "db" {
-			r.opts.Log("collecting DB profile (wisc-prof + wisc+tpch)")
-			merged := &profiles{edges: program.NewProfile(), seq: trace.NewSequenceProfile(0)}
-			for _, pw := range []*Workload{workload.WiscProf(r.opts.DB), workload.WiscTPCH(r.opts.DB)} {
-				p, err := r.collectProfiles(ctx, pw)
-				if err != nil {
-					return nil, fmt.Errorf("profile run %s: %w", pw.Name, err)
-				}
-				merged.edges.Merge(p.edges)
-				mergeSequences(merged.seq, p.seq)
-			}
-			return merged, nil
+// profileSources lists the workloads whose O5 runs make up w's
+// profile: database workloads share one profile, merged from the
+// wisc-prof and wisc+tpch runs exactly as §5.1 describes; each other
+// workload profiles itself (the paper uses the SPEC "test" input).
+func (r *Runner) profileSources(w *Workload) []*Workload {
+	if w.Family == "db" {
+		return []*Workload{workload.WiscProf(r.opts.DB), workload.WiscTPCH(r.opts.DB)}
+	}
+	return []*Workload{w}
+}
+
+// isProfileSource reports whether w's own O5 run feeds a profile.
+func (r *Runner) isProfileSource(w *Workload) bool {
+	for _, s := range r.profileSources(w) {
+		if s.Name == w.Name {
+			return true
 		}
-		r.opts.Log("collecting profile for %s", w.Name)
-		return r.collectProfiles(ctx, w)
+	}
+	return false
+}
+
+// profilesFor returns (collecting on first use) the feedback artifacts
+// w's profile sources produce.
+func (r *Runner) profilesFor(ctx context.Context, w *Workload) (*profiles, error) {
+	if w.Family != "db" {
+		return r.sourceProfile(ctx, w)
+	}
+	v, err := r.once(ctx, dbProfilesKey, func(ctx context.Context) (any, error) {
+		r.opts.Log("collecting DB profile (wisc-prof + wisc+tpch)")
+		merged := &profiles{edges: program.NewProfile(), seq: trace.NewSequenceProfile(0)}
+		for _, pw := range r.profileSources(w) {
+			p, err := r.sourceProfile(ctx, pw)
+			if err != nil {
+				return nil, fmt.Errorf("profile run %s: %w", pw.Name, err)
+			}
+			merged.edges.Merge(p.edges)
+			mergeSequences(merged.seq, p.seq)
+		}
+		return merged, nil
 	})
 	if err != nil {
 		return nil, err
@@ -496,40 +507,68 @@ func (r *Runner) profileFor(ctx context.Context, w *Workload) (*program.Profile,
 	return p.edges, nil
 }
 
-// collectProfiles gathers w's feedback artifacts from its O5 event
-// stream. The stream comes from the shared recording, so a workload
-// that is both profiled and simulated on O5 executes exactly once.
-func (r *Runner) collectProfiles(ctx context.Context, w *Workload) (*profiles, error) {
-	if r.opts.NoRecord {
-		pc := trace.NewProfileCollector()
-		sc := trace.NewSequenceCollector(0)
-		img, err := r.imageFor(ctx, w, LayoutO5)
+// sourceProfile returns the profile of one source's O5 run. With
+// recording on, the source's O5 recording pass collects it (see
+// recorded), so a workload that is both profiled and simulated on O5
+// executes exactly once and is never decoded for its profile; under
+// NoRecord the source runs once into the collectors alone. The profile
+// is memoized on its own key, so it comes from the synthesized stream
+// and survives any later corruption or rebuild of the recording.
+func (r *Runner) sourceProfile(ctx context.Context, w *Workload) (*profiles, error) {
+	v, err := r.once(ctx, srcProfKey(w), func(ctx context.Context) (any, error) {
+		if r.opts.NoRecord {
+			r.opts.Log("collecting profile for %s", w.Name)
+			img, err := r.imageFor(ctx, w, LayoutO5)
+			if err != nil {
+				return nil, err
+			}
+			return r.execute(ctx, w, img, nil, true)
+		}
+		rd, err := r.recorded(ctx, w, LayoutO5)
 		if err != nil {
 			return nil, err
 		}
-		if err := runWorkload(ctx, w, img, trace.Tee(pc, sc)); err != nil {
-			return nil, err
-		}
-		return &profiles{edges: pc.Profile, seq: sc.Profile}, nil
-	}
-	var p *profiles
-	err := r.replayRetry(ctx, w, LayoutO5, func(ctx context.Context) (*trace.Recording, error) {
-		rec, err := r.recordingFor(ctx, w, LayoutO5)
-		if err != nil {
-			return nil, err
-		}
-		pc := trace.NewProfileCollector()
-		sc := trace.NewSequenceCollector(0)
-		if err := replayOne(ctx, rec, trace.Tee(pc, sc)); err != nil {
-			return rec, err
-		}
-		p = &profiles{edges: pc.Profile, seq: sc.Profile}
-		return rec, nil
+		return rd.prof, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return v.(*profiles), nil
+}
+
+// execute runs w once over img into sink (nil for none). With profile
+// set, the profile collectors are teed into the same pass and their
+// artifacts returned. It is the one place a workload executes: the
+// recording pass, a NoRecord simulation and a NoRecord profile run all
+// go through it.
+func (r *Runner) execute(ctx context.Context, w *Workload, img *program.Image, sink trace.Consumer, profile bool) (*profiles, error) {
+	if !profile {
+		return nil, runWorkload(ctx, w, img, sink)
+	}
+	t := &profileTee{sink: sink, pc: trace.NewProfileCollector(), sc: trace.NewSequenceCollector(0)}
+	if err := runWorkload(ctx, w, img, t); err != nil {
+		return nil, err
+	}
+	return &profiles{edges: t.pc.Profile, seq: t.sc.Profile}, nil
+}
+
+// profileTee is trace.Tee(sink, pc, sc) (sink may be nil) with the
+// collectors called statically: at one call per synthesized event,
+// Tee's per-consumer interface dispatch costs about as much as the
+// collectors' own work.
+type profileTee struct {
+	sink trace.Consumer
+	pc   *trace.ProfileCollector
+	sc   *trace.SequenceCollector
+}
+
+// Event implements trace.Consumer.
+func (t *profileTee) Event(ev trace.Event) {
+	if t.sink != nil {
+		t.sink.Event(ev)
+	}
+	t.pc.Event(ev)
+	t.sc.Event(ev)
 }
 
 // mergeSequences folds src's recorded call positions into dst.
@@ -566,13 +605,22 @@ func (r *Runner) imageFor(ctx context.Context, w *Workload, layout Layout) (*pro
 	return v.(*program.Image), nil
 }
 
-// recordingFor captures w's event stream on the given layout once and
+// recorded is one sealed recording plus, when its workload is a
+// profile source recorded on O5, the profile collected from the same
+// pass.
+type recorded struct {
+	rec  *trace.Recording
+	prof *profiles
+}
+
+// recorded captures w's event stream on the given layout once and
 // memoizes the sealed recording. The stream for a (workload, layout)
 // pair is deterministic and independent of the CPU configuration, so
 // every config replays the same buffer instead of re-executing the
 // workload. The recording lives for the life of the Runner (unless
 // evicted after corruption); its encoded size is reported through Log.
-func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (*trace.Recording, error) {
+// A profile source's O5 pass also feeds the profile collectors.
+func (r *Runner) recorded(ctx context.Context, w *Workload, layout Layout) (*recorded, error) {
 	v, err := r.once(ctx, recKey(w, layout), func(ctx context.Context) (any, error) {
 		img, err := r.imageFor(ctx, w, layout)
 		if err != nil {
@@ -582,7 +630,8 @@ func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (
 		r.opts.Log("record %-12s %s", w.Name, layout)
 		sp := r.obsSpan("record", "record").
 			Arg("workload", w.Name).Arg("layout", layout.String())
-		if err := runWorkload(ctx, w, img, rec); err != nil {
+		prof, err := r.execute(ctx, w, img, rec, layout == LayoutO5 && r.isProfileSource(w))
+		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("cgp: record %s under %s: %w", w.Name, layout, err)
 		}
@@ -596,12 +645,21 @@ func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (
 		}
 		r.opts.Log("recorded %s/%s: %d events, %.1f MiB",
 			w.Name, layout, rg.Events(), float64(rg.Bytes())/(1<<20))
-		return rg, nil
+		return &recorded{rec: rg, prof: prof}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*trace.Recording), nil
+	return v.(*recorded), nil
+}
+
+// recordingFor returns the memoized recording of w on layout.
+func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (*trace.Recording, error) {
+	rd, err := r.recorded(ctx, w, layout)
+	if err != nil {
+		return nil, err
+	}
+	return rd.rec, nil
 }
 
 // evictRecordingIf drops the cached recording for (w, layout) if it
@@ -611,8 +669,10 @@ func (r *Runner) recordingFor(ctx context.Context, w *Workload, layout Layout) (
 func (r *Runner) evictRecordingIf(w *Workload, layout Layout, rec *trace.Recording) {
 	key := recKey(w, layout)
 	r.mu.Lock()
-	if f, ok := r.flights[key]; ok && f.val == any(rec) {
-		delete(r.flights, key)
+	if f, ok := r.flights[key]; ok {
+		if rd, _ := f.val.(*recorded); rd != nil && rd.rec == rec {
+			delete(r.flights, key)
+		}
 	}
 	r.mu.Unlock()
 }
@@ -850,7 +910,7 @@ func (r *Runner) simulate(ctx context.Context, w *Workload, cfg Config) (*Result
 		c := r.consumerFor(w, cfg, p.c)
 		sp := r.obsSpan("run", "run").
 			Arg("workload", w.Name).Arg("config", cfg.Label())
-		err = runWorkload(ctx, w, img, trace.Tee(&p.res.Trace, c))
+		_, err = r.execute(ctx, w, img, trace.Tee(&p.res.Trace, c), false)
 		sp.End()
 		if err != nil {
 			return nil, fmt.Errorf("cgp: %s under %s: %w", w.Name, cfg.Label(), err)
